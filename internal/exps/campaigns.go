@@ -120,7 +120,7 @@ type Campaign struct {
 	// dispatch, chaining, inline and shared-cache accounting included. Like
 	// Phases it is a worker-local diagnostic (shared-cache hits depend on
 	// which worker translated first) and participates in no campaign-result
-	// comparison; the bench recorder reads it to report dispatches elided.
+	// comparison; RunCampaignSet reads it for the worker counters and phases.
 	Engine emu.Counters
 
 	// Timeline extras, populated when CampaignOptions.Timeline asks for
@@ -155,13 +155,15 @@ type warmed struct {
 // trades speed — unarmed sites dispatch normally.
 const inlineHotDispatches = 4
 
-// warmUp boots fw and labels its seeded bugs. The machine seed depends only
-// on the base seed, so every worker warming the same firmware reaches the
-// bit-identical snapshot. Unless noFast asks for the pre-fast-path engine,
-// the warm-up workload is profiled and the hottest dispatch sites are armed
-// with the inline shadow fast path — a pure function of (fw, baseSeed,
-// elide), so pooled machines on every worker arm the same sites.
-func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) (*warmed, error) {
+// warmUp boots fw and labels its seeded bugs. It reads the deployment
+// options of opts — Seed, Elide, NoFastPaths and NoRaceGuidance — and
+// nothing else. The machine seed depends only on the base seed, so every
+// worker warming the same firmware reaches the bit-identical snapshot.
+// Unless NoFastPaths asks for the pre-fast-path engine, the warm-up
+// workload is profiled and the hottest dispatch sites are armed with the
+// inline shadow fast path — a pure function of (fw, Seed, Elide), so pooled
+// machines on every worker arm the same sites.
+func warmUp(fw *firmware.Firmware, opts CampaignOptions) (*warmed, error) {
 	sans := []string{"kasan"}
 	for _, b := range fw.Bugs {
 		if b.NeedsKCSAN {
@@ -174,23 +176,23 @@ func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) 
 	// on top.
 	mcfg := fw.Machine
 	mcfg.MaxHarts = 2
-	mcfg.Seed = uint64(baseSeed) + 1
-	mcfg.NoChain = noFast
-	mcfg.NoSharedTB = noFast
+	mcfg.Seed = uint64(opts.Seed) + 1
+	mcfg.NoChain = opts.NoFastPaths
+	mcfg.NoSharedTB = opts.NoFastPaths
 	inst, err := core.New(core.Config{
 		Image:          fw.Image,
 		Sanitizers:     sans,
 		StopOnReport:   true,
 		Machine:        mcfg,
 		KCSAN:          san.KCSANConfig{SampleInterval: 13, Delay: 600},
-		Elide:          elide,
-		NoRaceGuidance: noGuide,
+		Elide:          opts.Elide,
+		NoRaceGuidance: opts.NoRaceGuidance,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("exps: %s: %w", fw.Name, err)
 	}
 	var prof *obs.Profile
-	if !noFast {
+	if !opts.NoFastPaths {
 		prof = obs.NewProfile()
 		inst.Machine.SetProfile(prof)
 	}
@@ -205,7 +207,7 @@ func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) 
 	// addresses instead of function names.
 	w := &warmed{inst: inst, sigToBug: map[string]*firmware.Bug{}}
 	// The static reachability report bounds what any campaign on this
-	// firmware can cover; computed once here so every runOne shares it.
+	// firmware can cover; computed once here so every run shares it.
 	if an, err := static.Analyze(fw.Image); err == nil {
 		w.reach = an.Reach()
 		w.leaders = an.ReachableLeaders()
@@ -241,24 +243,44 @@ func warmUp(fw *firmware.Firmware, baseSeed int64, elide, noFast, noGuide bool) 
 	return w, nil
 }
 
+// poolKey names the pooled deployment a campaign of fw runs on. Campaigns
+// share a warmed machine only when every option warmUp reads agrees —
+// elided and non-elided deployments differ in text and probe sets — and
+// when forensic arming agrees: it stamps chunk backtraces as the campaign
+// runs, so a pooled machine must not leak stamped chunks into an unarmed
+// campaign of the same firmware (or vice versa). The base seed is shared
+// by the whole set and needs no key.
+func poolKey(fw *firmware.Firmware, opts CampaignOptions) string {
+	key := fw.Name
+	if opts.Elide {
+		key += "+elide"
+	}
+	if opts.NoFastPaths {
+		key += "+nofp"
+	}
+	if opts.NoRaceGuidance {
+		key += "+uniform"
+	}
+	if opts.Forensics {
+		key += "+forensics"
+	}
+	return key
+}
+
 // runExtras carries the optional observability attachments of one campaign
 // run: the worker's timeline sampler (already Reset for this job) and a
-// wall-clock crash notification hook for the monitor.
+// wall-clock crash notification hook for the monitor. The zero value
+// attaches nothing.
 type runExtras struct {
 	tl      *timeline.Sampler
 	onCrash func(*fuzz.Crash)
 }
 
-// runOne executes one campaign with the given derived seed on the warmed
+// run executes one campaign with the given derived seed on the warmed
 // deployment. The Restore+Reseed pair makes the outcome a pure function of
 // (firmware, base seed, campaign seed, execs) — independent of whatever
 // ran on the pooled machine before.
-func (w *warmed) runOne(fw *firmware.Firmware, seed int64, execs int) (*Campaign, error) {
-	return w.runX(fw, seed, execs, runExtras{})
-}
-
-// runX is runOne with observability extras attached.
-func (w *warmed) runX(fw *firmware.Firmware, seed int64, execs int, x runExtras) (*Campaign, error) {
+func (w *warmed) run(fw *firmware.Firmware, seed int64, execs int, x runExtras) (*Campaign, error) {
 	inst := w.inst
 	before := inst.Machine.Counters()
 	inst.Restore()
@@ -343,7 +365,7 @@ func RunCampaign(fw *firmware.Firmware, opts CampaignOptions) (*Campaign, error)
 	if opts.Execs == 0 {
 		opts.Execs = 30000
 	}
-	w, err := warmUp(fw, opts.Seed, opts.Elide, opts.NoFastPaths, opts.NoRaceGuidance)
+	w, err := warmUp(fw, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +377,7 @@ func RunCampaign(fw *firmware.Firmware, opts CampaignOptions) (*Campaign, error)
 		x.tl = timeline.NewSampler(opts.TimelineInterval, opts.TimelineSamples)
 		x.tl.Reset(nil, timeline.DetectOptions{StallSamples: opts.StallSamples})
 	}
-	return w.runX(fw, sched.Split(opts.Seed, 0), opts.Execs, x)
+	return w.run(fw, sched.Split(opts.Seed, 0), opts.Execs, x)
 }
 
 // CampaignRun is the merged outcome of a scheduled campaign set.
@@ -386,26 +408,8 @@ func RunCampaignSet(fws []*firmware.Firmware, opts CampaignOptions) (*CampaignRu
 	out := make([]*Campaign, n)
 	ws, err := sched.Run(sched.Options{Workers: opts.Workers}, n, func(w *sched.Worker, i int) error {
 		fw := fws[i/opts.Repeats]
-		// Elided and non-elided deployments of the same firmware must not
-		// share a pooled machine: their texts and probe sets differ.
-		key := fw.Name
-		if opts.Elide {
-			key += "+elide"
-		}
-		if opts.NoFastPaths {
-			key += "+nofp"
-		}
-		if opts.NoRaceGuidance {
-			key += "+uniform"
-		}
-		if opts.Forensics {
-			// Forensic arming stamps chunk backtraces as the campaign runs;
-			// a pooled machine must not leak stamped chunks into an unarmed
-			// campaign of the same firmware (or vice versa).
-			key += "+forensics"
-		}
-		wm, err := sched.Pooled(w, key, func() (*warmed, error) {
-			return warmUp(fw, opts.Seed, opts.Elide, opts.NoFastPaths, opts.NoRaceGuidance)
+		wm, err := sched.Pooled(w, poolKey(fw, opts), func() (*warmed, error) {
+			return warmUp(fw, opts)
 		})
 		if err != nil {
 			return err
@@ -437,7 +441,7 @@ func RunCampaignSet(fws []*firmware.Firmware, opts CampaignOptions) (*CampaignRu
 			idx, name := i, fw.Name
 			x.onCrash = func(cr *fuzz.Crash) { m.publishCrash(idx, name, cr) }
 		}
-		c, err := wm.runX(fw, sched.Split(opts.Seed, i), opts.Execs, x)
+		c, err := wm.run(fw, sched.Split(opts.Seed, i), opts.Execs, x)
 		if opts.Forensics {
 			wm.inst.ArmForensics(false)
 		}

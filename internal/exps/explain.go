@@ -51,7 +51,7 @@ type ExplainResult struct {
 // byte-identical no matter how the campaign that surfaced the bug was
 // scheduled.
 func ExplainReport(fw *firmware.Firmware, opts ExplainOptions) (*ExplainResult, error) {
-	w, err := warmUp(fw, opts.Seed, opts.Elide, false, false)
+	w, err := warmUp(fw, CampaignOptions{Seed: opts.Seed, Elide: opts.Elide})
 	if err != nil {
 		return nil, err
 	}
@@ -81,7 +81,7 @@ func ExplainReport(fw *firmware.Firmware, opts ExplainOptions) (*ExplainResult, 
 		if execs == 0 {
 			execs = 30000
 		}
-		c, err := w.runOne(fw, sched.Split(opts.Seed, 0), execs)
+		c, err := w.run(fw, sched.Split(opts.Seed, 0), execs, runExtras{})
 		if err != nil {
 			return nil, err
 		}

@@ -111,6 +111,35 @@ func TestFigure2OverheadShape(t *testing.T) {
 	}
 }
 
+// TestFigure2WorkloadBenign: on every registry firmware the Figure 2
+// workload replays on a live EMBSAN-KASAN deployment — the way measure
+// replays it, with no restore between inputs — and every input completes
+// without a report. A workload that reaches a seeded bug would make the
+// figure time the report path instead of the checks.
+func TestFigure2WorkloadBenign(t *testing.T) {
+	for _, name := range firmware.Names {
+		fw, err := firmware.Build(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		workload, err := buildWorkload(fw, OverheadOptions{Programs: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := deployOverhead(fw, []string{"kasan"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, in := range workload {
+			res := inst.Exec(in, 100_000_000)
+			if !res.Done || len(res.Reports) > 0 {
+				t.Errorf("%s: workload input %d not benign: done=%v reports=%d fault=%v",
+					name, i, res.Done, len(res.Reports), res.Fault)
+			}
+		}
+	}
+}
+
 // checkFigure2Shape asserts the paper's qualitative claims: every EMBSAN
 // configuration costs something, KCSAN costs more than KASAN, and the
 // Embedded Linux native baselines show measurable overhead (Figure 2 has

@@ -55,11 +55,11 @@ func TestFastPathLockstepOracle(t *testing.T) {
 	for _, name := range []string{"OpenWRT-armvirt", "OpenWRT-bcm63xx", "InfiniTime"} {
 		t.Run(name, func(t *testing.T) {
 			fw := buildSubset(t, name)[0]
-			fast, err := warmUp(fw, 7, false, false, false)
+			fast, err := warmUp(fw, CampaignOptions{Seed: 7})
 			if err != nil {
 				t.Fatal(err)
 			}
-			slow, err := warmUp(fw, 7, false, true, false)
+			slow, err := warmUp(fw, CampaignOptions{Seed: 7, NoFastPaths: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestFastPathInlineEngages(t *testing.T) {
 	var inline uint64
 	for _, name := range []string{"OpenWRT-armvirt", "OpenWRT-bcm63xx"} {
 		fw := buildSubset(t, name)[0]
-		fast, err := warmUp(fw, 7, false, false, false)
+		fast, err := warmUp(fw, CampaignOptions{Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

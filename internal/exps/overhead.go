@@ -67,7 +67,10 @@ func overheadFor(name string, opts OverheadOptions) (*OverheadRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	workload := buildWorkload(table1, opts)
+	workload, err := buildWorkload(table1, opts)
+	if err != nil {
+		return nil, err
+	}
 
 	row := &OverheadRow{
 		Firmware: name, BaseOS: table1.BaseOS, Arch: table1.Arch.String(),
@@ -135,7 +138,29 @@ func buildVariantOrSame(name string, table1 *firmware.Firmware, mode kasm.Saniti
 
 // buildWorkload produces the deterministic benign corpus the paper calls
 // "the merged corpus acquired after completing the previous experiment".
-func buildWorkload(fw *firmware.Firmware, opts OverheadOptions) [][]byte {
+// Every candidate is replayed once on a restored EMBSAN-KASAN deployment of
+// fw and kept only if it completes without a report or fault: an input that
+// reaches a seeded bug would time the report path, not the checks.
+func buildWorkload(fw *firmware.Firmware, opts OverheadOptions) ([][]byte, error) {
+	inst, err := deployOverhead(fw, []string{"kasan"})
+	if err != nil {
+		return nil, fmt.Errorf("exps: overhead %s workload: %w", fw.Name, err)
+	}
+	var out [][]byte
+	for _, in := range workloadCandidates(fw, opts) {
+		inst.Restore()
+		if res := inst.Exec(in, 100_000_000); res.Done && !res.Crashed() {
+			out = append(out, in)
+		}
+	}
+	if len(out) == 0 {
+		return nil, fmt.Errorf("exps: overhead %s: no benign workload input", fw.Name)
+	}
+	return out, nil
+}
+
+// workloadCandidates generates the Figure 2 inputs before the benign filter.
+func workloadCandidates(fw *firmware.Firmware, opts OverheadOptions) [][]byte {
 	var out [][]byte
 	if fw.Frontend == firmware.FrontendSyscall {
 		benign := uint32(len(elinux.BenignSyscalls))
@@ -166,9 +191,9 @@ func buildWorkload(fw *firmware.Firmware, opts OverheadOptions) [][]byte {
 	return out
 }
 
-// measure boots the firmware in the given configuration and times the
-// workload replay (best of n repetitions).
-func measure(fw *firmware.Firmware, workload [][]byte, sans []string, repeats int) (time.Duration, error) {
+// deployOverhead boots fw in one Figure 2 configuration — the named
+// sanitizers attached, or none when sans is empty — and snapshots it.
+func deployOverhead(fw *firmware.Firmware, sans []string) (*core.Instance, error) {
 	inst, err := core.New(core.Config{
 		Image:       fw.Image,
 		Sanitizers:  sans,
@@ -177,12 +202,23 @@ func measure(fw *firmware.Firmware, workload [][]byte, sans []string, repeats in
 		KCSAN:       san.KCSANConfig{SampleInterval: 20, Delay: 2000},
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	if err := inst.Boot(500_000_000); err != nil {
-		return 0, err
+		return nil, err
 	}
 	inst.Snapshot()
+	return inst, nil
+}
+
+// measure boots the firmware in the given configuration and times the
+// workload replay (best of n repetitions). An input that does not complete,
+// or that raises a report, fails the measurement.
+func measure(fw *firmware.Firmware, workload [][]byte, sans []string, repeats int) (time.Duration, error) {
+	inst, err := deployOverhead(fw, sans)
+	if err != nil {
+		return 0, err
+	}
 
 	// The corpus replays on the live system (as in the paper) — no snapshot
 	// restore between inputs, so the measurement reflects execution cost,
@@ -192,6 +228,9 @@ func measure(fw *firmware.Firmware, workload [][]byte, sans []string, repeats in
 			res := inst.Exec(input, 100_000_000)
 			if !res.Done {
 				return fmt.Errorf("workload input did not complete (stop=%v fault=%v)", res.Stop, res.Fault)
+			}
+			if len(res.Reports) > 0 {
+				return fmt.Errorf("workload input raised a report: %s", res.Reports[0].Signature())
 			}
 		}
 		return nil

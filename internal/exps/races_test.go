@@ -6,28 +6,66 @@ import (
 	"embsan/internal/guest/firmware"
 	"embsan/internal/san"
 	"embsan/internal/sched"
+	"embsan/internal/static"
+	"embsan/internal/static/races"
 )
 
-// TestRaceBenchGuidedBeatsUniform is the ground-truth experiment: the
-// seeded freertos race is flagged statically and found dynamically, and
-// the lockset-guided campaign needs strictly fewer executions than uniform
-// sampling. Both campaigns are virtual-clock deterministic, so the margin
-// is stable across machines.
-func TestRaceBenchGuidedBeatsUniform(t *testing.T) {
-	rb, err := RunRaceBench(RaceBenchOptions{})
+// raceCampaign runs one campaign on a freshly warmed deployment of fw, with
+// the static lockset guidance or (noGuide) uniform KCSAN sampling.
+func raceCampaign(t *testing.T, fw *firmware.Firmware, execs int, seed int64, noGuide bool) *Campaign {
+	t.Helper()
+	w, err := warmUp(fw, CampaignOptions{Seed: seed, NoRaceGuidance: noGuide})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("\n%s", FormatRaceBench(rb))
-	if rb.StaticPairs == 0 {
+	c, err := w.run(fw, sched.Split(seed, 0), execs, runExtras{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// raceFindExecs returns the executions c had consumed when its first race
+// report fired (0 = the budget missed the race).
+func raceFindExecs(c *Campaign) int {
+	found := 0
+	for _, crash := range c.Raw.Crashes {
+		if crash.Report == nil || crash.Report.Bug != san.BugRace {
+			continue
+		}
+		if found == 0 || crash.Execs < found {
+			found = crash.Execs
+		}
+	}
+	return found
+}
+
+// TestRaceGuidedBeatsUniform is the ground-truth experiment: the seeded
+// freertos race is flagged statically and found dynamically, and the
+// lockset-guided campaign needs strictly fewer executions than uniform
+// sampling (a uniform miss counts as guided winning). Both campaigns are
+// virtual-clock deterministic, so the margin is stable across machines.
+func TestRaceGuidedBeatsUniform(t *testing.T) {
+	fw, err := firmware.BuildRaceTwin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := static.Analyze(fw.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs := len(races.Analyze(an, races.Options{}).Pairs); pairs == 0 {
 		t.Fatal("static triage emitted no candidate pairs")
 	}
-	if rb.GuidedExecs == 0 {
+	const execs, seed = 2000, 7
+	guided := raceFindExecs(raceCampaign(t, fw, execs, seed, false))
+	uniform := raceFindExecs(raceCampaign(t, fw, execs, seed, true))
+	t.Logf("race found after %d guided execs, %d uniform (0 = missed)", guided, uniform)
+	if guided == 0 {
 		t.Fatal("guided campaign missed the seeded race")
 	}
-	if rb.UniformExecs != 0 && rb.GuidedExecs >= rb.UniformExecs {
-		t.Errorf("guided (%d execs) not faster than uniform (%d execs)",
-			rb.GuidedExecs, rb.UniformExecs)
+	if uniform != 0 && guided >= uniform {
+		t.Errorf("guided (%d execs) not faster than uniform (%d execs)", guided, uniform)
 	}
 }
 
@@ -61,16 +99,7 @@ func TestRaceGuidedCampaignDeterministicAcrossWorkers(t *testing.T) {
 // race is identified by the contended address, not the report signature:
 // the same race reports from whichever side observed the collision first,
 // and guidance legitimately shifts which side that is.
-func raceAddrs(t *testing.T, fw *firmware.Firmware, execs int, seed int64, noGuide bool) map[uint32]bool {
-	t.Helper()
-	w, err := warmUp(fw, seed, false, false, noGuide)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := w.runOne(fw, sched.Split(seed, 0), execs)
-	if err != nil {
-		t.Fatal(err)
-	}
+func raceAddrs(c *Campaign) map[uint32]bool {
 	addrs := map[uint32]bool{}
 	for _, crash := range c.Raw.Crashes {
 		if crash.Report != nil && crash.Report.Bug == san.BugRace {
@@ -90,8 +119,8 @@ func TestRaceGuidanceNoFalseElision(t *testing.T) {
 		t.Fatal(err)
 	}
 	const execs, seed = 2000, 7
-	uniform := raceAddrs(t, fw, execs, seed, true)
-	guided := raceAddrs(t, fw, execs, seed, false)
+	uniform := raceAddrs(raceCampaign(t, fw, execs, seed, true))
+	guided := raceAddrs(raceCampaign(t, fw, execs, seed, false))
 	if len(uniform) == 0 {
 		t.Fatal("uniform campaign found no races; differential is vacuous")
 	}

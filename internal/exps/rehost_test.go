@@ -1,7 +1,6 @@
 package exps
 
 import (
-	"encoding/json"
 	"runtime"
 	"strings"
 	"testing"
@@ -73,34 +72,35 @@ func TestRehostCampaignDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestRehostBenchRoundTrip: the recorder produces a checkable artefact and
-// the checker rejects a schema drift.
-func TestRehostBenchRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench measurement is long; run without -short")
-	}
-	rb, err := RunRehostBench(RehostBenchOptions{Execs: 200, Rounds: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(rb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckRehostBench(data); err != nil {
-		t.Fatalf("fresh artefact fails its own check: %v", err)
-	}
-	text := FormatRehostBench(rb)
-	for _, r := range rb.Rows {
-		if r.BridgeReads == 0 {
-			t.Errorf("%s: no MMIO reads through the bridge", r.Firmware)
+// TestRehostBridgeServesLiftedMap: on every frontend the lifted profile
+// is non-trivial (registers and allocator entry points recovered), and
+// replaying the seeded triggers and corpus seeds on the warmed deployment
+// pushes MMIO reads through the synthesized bridge. A rehosted image that
+// reads nothing from its bridge never actually booted into its services.
+func TestRehostBridgeServesLiftedMap(t *testing.T) {
+	for _, arch := range RehostArches {
+		fw, p, err := BuildRehosted(arch)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !strings.Contains(text, r.Firmware) {
-			t.Errorf("formatted bench missing %q", r.Firmware)
+		if len(p.Registers) == 0 || len(p.Allocs) == 0 {
+			t.Errorf("%s: empty lifted map (%d registers, %d allocs)", fw.Name, len(p.Registers), len(p.Allocs))
 		}
-	}
-	bad := strings.Replace(string(data), RehostBenchSchema, "embsan/bench-rehost/v0", 1)
-	if err := CheckRehostBench([]byte(bad)); err == nil {
-		t.Error("checker accepted a drifted schema")
+		w, err := warmUp(fw, CampaignOptions{Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs := append([][]byte(nil), fw.Seeds...)
+		for _, b := range fw.Bugs {
+			inputs = append(inputs, b.Trigger)
+		}
+		before := w.inst.Machine.Counters()
+		for _, in := range inputs {
+			w.inst.Restore()
+			w.inst.Exec(in, 100_000_000)
+		}
+		if reads := w.inst.Machine.Counters().Sub(before).DeviceReads; reads == 0 {
+			t.Errorf("%s: no MMIO reads through the bridge", fw.Name)
+		}
 	}
 }

@@ -24,7 +24,7 @@ func timelineTestOpts() CampaignOptions {
 // order and EMTL-encoded — is byte-identical at workers=1, workers=4 and
 // workers=GOMAXPROCS for every registry firmware, and the campaign
 // outcomes still fingerprint identically. This is the oracle behind the
-// FlushTBs cold-start rule in runX: without it, pooled-machine TB warmth
+// FlushTBs cold-start rule in warmed.run: without it, pooled-machine TB warmth
 // would leak schedule-dependent translate/chain counts into the samples.
 func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 	opts := timelineTestOpts()

@@ -82,6 +82,11 @@ func DecodeRecords(b []byte) ([]Record, error) {
 		return nil, fmt.Errorf("forensics: reserved header bytes set (%#x)", r)
 	}
 	count := int(binary.LittleEndian.Uint32(b[8:]))
+	// Every record takes at least fxEventSize+2 bytes; reject a count the
+	// stream cannot hold before it sizes an allocation.
+	if count > (len(b)-fxHeaderSize)/(fxEventSize+2) {
+		return nil, fmt.Errorf("forensics: %d records cannot fit in %d bytes", count, len(b))
+	}
 	recs := make([]Record, 0, count)
 	off := fxHeaderSize
 	for i := 0; i < count; i++ {

@@ -21,6 +21,8 @@
 package rehost
 
 import (
+	"fmt"
+
 	"embsan/internal/emu"
 	"embsan/internal/isa"
 	"embsan/internal/kasm"
@@ -582,6 +584,9 @@ func branchCarrier(carriers map[uint8]uint32, in isa.Inst) (uint32, bool) {
 // Lift runs the full rehosting analysis over one image. It needs no
 // symbols and no link metadata: the stripped binary is enough.
 func Lift(img *kasm.Image) (*Profile, error) {
+	if img != nil && img.Entry%4 != 0 {
+		return nil, fmt.Errorf("rehost: entry %#x is not word-aligned", img.Entry)
+	}
 	an, err := static.Analyze(img)
 	if err != nil {
 		return nil, err
