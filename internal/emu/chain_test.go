@@ -39,7 +39,7 @@ func TestChainingEquivalenceAndCounters(t *testing.T) {
 	if r := fast.Run(0); r != StopExit || fast.ExitCode() != 5000 {
 		t.Fatalf("fast: stop=%v exit=%d", r, fast.ExitCode())
 	}
-	slow, err := New(img, Config{NoChain: true, NoSharedTB: true})
+	slow, err := New(img, Config{NoChain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestSelfModifyingFaultThroughChain(t *testing.T) {
 		b.ADDI(rA0, rA0, 1)
 		b.Ret()
 		img := mustLink(t, b, "selfmodfault")
-		m, err := New(img, Config{NoChain: noChain, NoSharedTB: true})
+		m, err := New(img, Config{NoChain: noChain})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -254,9 +254,8 @@ func TestSelfModifyingFaultThroughChain(t *testing.T) {
 	}
 }
 
-// padImage builds an image whose text spans several full pages (the shared
-// translation cache only publishes blocks from pages lying entirely inside
-// the text section), with an executed loop in the padded region.
+// padImage builds an image whose text spans several full pages, with an
+// executed loop calling into the padded region.
 func padImage(t *testing.T) *kasm.Image {
 	t.Helper()
 	b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E})
@@ -276,45 +275,34 @@ func padImage(t *testing.T) *kasm.Image {
 	return mustLink(t, b, "padded")
 }
 
-// TestSharedTranslationCache: a second machine on the same image content and
-// configuration consumes the first machine's published translations instead
-// of decoding its own, with identical observable behaviour; a NoSharedTB
-// machine stays off the cache entirely.
-func TestSharedTranslationCache(t *testing.T) {
+// TestTranslationCachePerMachine: translations are never shared between
+// machines. A second machine on the same image in the same process decodes
+// every block itself, so its translate accounting equals the first
+// machine's exactly, as does everything the guest can observe.
+func TestTranslationCachePerMachine(t *testing.T) {
 	img := padImage(t)
-	m1, err := New(img, Config{})
-	if err != nil {
-		t.Fatal(err)
+	var ms [2]*Machine
+	for i := range ms {
+		m, err := New(img, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := m.Run(0); r != StopExit {
+			t.Fatalf("machine %d: stop=%v fault=%v", i, r, m.Fault())
+		}
+		ms[i] = m
 	}
-	if r := m1.Run(0); r != StopExit {
-		t.Fatalf("m1: stop=%v fault=%v", r, m1.Fault())
+	c1, c2 := ms[0].Counters(), ms[1].Counters()
+	if c1.TBMisses == 0 || c1.TransInsts == 0 {
+		t.Fatalf("first machine decoded nothing: %+v", c1)
 	}
-	m2, err := New(img, Config{})
-	if err != nil {
-		t.Fatal(err)
+	if c2.TBMisses != c1.TBMisses || c2.TransInsts != c1.TransInsts {
+		t.Errorf("second machine reused translations: misses %d/%d, trans insts %d/%d",
+			c1.TBMisses, c2.TBMisses, c1.TransInsts, c2.TransInsts)
 	}
-	if r := m2.Run(0); r != StopExit {
-		t.Fatalf("m2: stop=%v", r)
-	}
-	if m2.ExitCode() != m1.ExitCode() || m2.ICount() != m1.ICount() {
-		t.Errorf("shared-cache consumer diverged: exit %d/%d icnt %d/%d",
-			m1.ExitCode(), m2.ExitCode(), m1.ICount(), m2.ICount())
-	}
-	c2 := m2.Counters()
-	if c2.SharedTBHits == 0 {
-		t.Error("second machine consumed nothing from the shared cache")
-	}
-	if c2.TransInsts != m1.Counters().TransInsts {
-		t.Errorf("translate-phase accounting depends on cache luck: %d vs %d",
-			c2.TransInsts, m1.Counters().TransInsts)
-	}
-	m3, err := New(img, Config{NoSharedTB: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m3.Run(0)
-	if h := m3.Counters().SharedTBHits; h != 0 {
-		t.Errorf("NoSharedTB machine hit the shared cache %d times", h)
+	if ms[1].ExitCode() != ms[0].ExitCode() || ms[1].ICount() != ms[0].ICount() {
+		t.Errorf("machines diverged: exit %d/%d icnt %d/%d",
+			ms[0].ExitCode(), ms[1].ExitCode(), ms[0].ICount(), ms[1].ICount())
 	}
 }
 

@@ -94,7 +94,7 @@ func FuzzChainedExecution(f *testing.F) {
 		run := func(noChain bool) *Machine {
 			m, err := New(img, Config{
 				RAMSize: 1 << 20, MaxHarts: 2, Seed: uint64(seed),
-				NoChain: noChain, NoSharedTB: true,
+				NoChain: noChain,
 			})
 			if err != nil {
 				t.Skip() // image rejected (e.g. doesn't fit): nothing to compare

@@ -79,20 +79,6 @@ func (m *Machine) tbFor(pc uint32) (*tb, FaultKind) {
 			m.ctr.tbHits.Inc()
 			return t, FaultNone
 		}
-		if m.sharedTBs != nil && m.pageGen[pc>>pageShift] == 0 && m.sharedPageOK(pc) {
-			if e := m.sharedTBs.get(m.sharedSigNow(), pc); e != nil {
-				m.ctr.sharedHits.Inc()
-				// Count the acquired steps as translate-phase work exactly as
-				// a local decode would, so the phase attribution is a pure
-				// function of the executed code, not of cache luck (which is
-				// schedule-dependent across worker counts).
-				m.ctr.transInsts.Add(uint64(len(e.steps)))
-				t := &tb{pc: pc, steps: e.steps, gen: m.globalGen,
-					succTaken: e.succTaken, succFall: e.succFall}
-				m.tbs[pc] = t
-				return t, FaultNone
-			}
-		}
 	}
 	m.ctr.tbMisses.Inc()
 	t, f := m.translate(pc)
@@ -101,10 +87,6 @@ func (m *Machine) tbFor(pc uint32) (*tb, FaultKind) {
 	}
 	if !m.cfg.NoTBCache {
 		m.tbs[pc] = t
-		if m.sharedTBs != nil && t.pgen == 0 && m.sharedPageOK(pc) {
-			m.sharedTBs.put(m.sharedSigNow(), pc,
-				&sharedTB{steps: t.steps, succTaken: t.succTaken, succFall: t.succFall})
-		}
 	}
 	return t, FaultNone
 }
@@ -614,7 +596,7 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 
 		// ---- jumps ----
 		case isa.OpJAL:
-			if in.Rd == isa.RegRA && !m.cfg.NoShadowStack {
+			if in.Rd == isa.RegRA {
 				h.callPush(s.pc)
 			}
 			setReg(h, in.Rd, s.pc+4)
@@ -622,12 +604,10 @@ func (m *Machine) execTB(h *Hart, t *tb, end uint64) tbExit {
 			return tbDone
 		case isa.OpJALR:
 			target := (r[in.Rs1] + uint32(in.Imm)) &^ 1
-			if !m.cfg.NoShadowStack {
-				if in.Rd == isa.RegRA {
-					h.callPush(s.pc)
-				} else {
-					h.callRet(target)
-				}
+			if in.Rd == isa.RegRA {
+				h.callPush(s.pc)
+			} else {
+				h.callRet(target)
 			}
 			setReg(h, in.Rd, s.pc+4)
 			h.PC = target

@@ -48,11 +48,10 @@ type CampaignOptions struct {
 	// (Campaign.Phases) even when full event tracing is off.
 	Metrics bool
 	// NoFastPaths runs the campaigns on the pre-fast-path engine: TB
-	// chaining and the shared translation cache are disabled on the pooled
-	// machines and no inline shadow sites are armed. Campaign outcomes are
-	// identical with it on or off — the differential oracle tests assert
-	// exactly that — so the flag exists for those oracles and for recording
-	// the bench baseline, not for production use.
+	// chaining is disabled on the pooled machines and no inline shadow
+	// sites are armed. Campaign outcomes are identical with it on or off —
+	// the differential oracle tests assert exactly that — so the flag exists
+	// for those oracles, not for production use.
 	NoFastPaths bool
 	// NoRaceGuidance runs KCSAN with uniform sampling instead of the static
 	// lockset guidance (core.Config.NoRaceGuidance) — the baseline side of
@@ -178,7 +177,6 @@ func warmUp(fw *firmware.Firmware, opts CampaignOptions) (*warmed, error) {
 	mcfg.MaxHarts = 2
 	mcfg.Seed = uint64(opts.Seed) + 1
 	mcfg.NoChain = opts.NoFastPaths
-	mcfg.NoSharedTB = opts.NoFastPaths
 	inst, err := core.New(core.Config{
 		Image:          fw.Image,
 		Sanitizers:     sans,

@@ -2,6 +2,7 @@ package exps
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -17,8 +18,12 @@ import (
 // OverheadOptions tunes the Figure 2 measurement.
 type OverheadOptions struct {
 	Programs int // workload programs per firmware (default 16)
-	Repeats  int // measurement repetitions, best-of (default 3)
-	Seed     int64
+	// Repeats is the number of timing rounds (default 3). A round
+	// interleaves single workload passes over every configuration and
+	// takes each configuration's median pass; a slowdown is the median of
+	// its per-round ratios to bare.
+	Repeats int
+	Seed    int64
 }
 
 // Overhead configuration labels (the Figure 2 series).
@@ -82,30 +87,14 @@ func overheadFor(name string, opts OverheadOptions) (*OverheadRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	bareTime, err := measure(bare, workload, nil, opts.Repeats)
-	if err != nil {
-		return nil, fmt.Errorf("exps: overhead %s bare: %w", name, err)
-	}
-	row.Bare = bareTime
-
-	addCfg := func(label string, fw *firmware.Firmware, sans []string) error {
-		t, err := measure(fw, workload, sans, opts.Repeats)
-		if err != nil {
-			return fmt.Errorf("exps: overhead %s %s: %w", name, label, err)
-		}
-		row.Slowdown[label] = float64(t) / float64(bareTime)
-		return nil
-	}
-
-	// EMBSAN KASAN on the firmware's Table 1 instrumentation mode.
-	if err := addCfg(CfgEmbsanKASAN, table1, []string{"kasan"}); err != nil {
-		return nil, err
+	cfgs := []overheadCfg{
+		{label: CfgBare, fw: bare},
+		// EMBSAN KASAN on the firmware's Table 1 instrumentation mode.
+		{label: CfgEmbsanKASAN, fw: table1, sans: []string{"kasan"}},
 	}
 	// EMBSAN KCSAN (Embedded Linux firmware, as in the paper).
 	if table1.BaseOS == "Embedded Linux" {
-		if err := addCfg(CfgEmbsanKCSAN, table1, []string{"kcsan"}); err != nil {
-			return nil, err
-		}
+		cfgs = append(cfgs, overheadCfg{label: CfgEmbsanKCSAN, fw: table1, sans: []string{"kcsan"}})
 	}
 	// Native baselines need source: rebuild with in-guest sanitizers.
 	if table1.SourceOpen {
@@ -113,20 +102,37 @@ func overheadFor(name string, opts OverheadOptions) (*OverheadRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := addCfg(CfgNativeKASAN, nk, nil); err != nil {
-			return nil, err
-		}
+		cfgs = append(cfgs, overheadCfg{label: CfgNativeKASAN, fw: nk})
 		if table1.BaseOS == "Embedded Linux" {
 			nc, err := firmware.BuildVariant(name, kasm.SanNativeKCSAN)
 			if err != nil {
 				return nil, err
 			}
-			if err := addCfg(CfgNativeKCSAN, nc, nil); err != nil {
-				return nil, err
-			}
+			cfgs = append(cfgs, overheadCfg{label: CfgNativeKCSAN, fw: nc})
 		}
 	}
+
+	times, err := measure(cfgs, workload, opts.Repeats)
+	if err != nil {
+		return nil, fmt.Errorf("exps: overhead %s %w", name, err)
+	}
+	row.Bare = time.Duration(median(times[0]))
+	for c := 1; c < len(cfgs); c++ {
+		ratios := make([]float64, len(times[c]))
+		for r := range ratios {
+			ratios[r] = times[c][r] / times[0][r]
+		}
+		row.Slowdown[cfgs[c].label] = median(ratios)
+	}
 	return row, nil
+}
+
+// overheadCfg is one Figure 2 configuration: a build of the firmware and
+// the sanitizers attached to it (none for bare and the native baselines).
+type overheadCfg struct {
+	label string
+	fw    *firmware.Firmware
+	sans  []string
 }
 
 func buildVariantOrSame(name string, table1 *firmware.Firmware, mode kasm.SanitizeMode) (*firmware.Firmware, error) {
@@ -211,19 +217,25 @@ func deployOverhead(fw *firmware.Firmware, sans []string) (*core.Instance, error
 	return inst, nil
 }
 
-// measure boots the firmware in the given configuration and times the
-// workload replay (best of n repetitions). An input that does not complete,
-// or that raises a report, fails the measurement.
-func measure(fw *firmware.Firmware, workload [][]byte, sans []string, repeats int) (time.Duration, error) {
-	inst, err := deployOverhead(fw, sans)
-	if err != nil {
-		return 0, err
+// measure deploys every configuration, then times the workload replay on
+// all of them in rounds. It returns the per-round times (ns per workload
+// pass) indexed [configuration][round]; callers divide within a round so
+// host noise cancels in the ratio. An input that does not complete, or that
+// raises a report, fails the measurement.
+func measure(cfgs []overheadCfg, workload [][]byte, rounds int) ([][]float64, error) {
+	insts := make([]*core.Instance, len(cfgs))
+	for i, c := range cfgs {
+		inst, err := deployOverhead(c.fw, c.sans)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", c.label, err)
+		}
+		insts[i] = inst
 	}
 
 	// The corpus replays on the live system (as in the paper) — no snapshot
 	// restore between inputs, so the measurement reflects execution cost,
 	// not reset cost. The workload is benign and state-neutral.
-	replay := func() error {
+	replay := func(inst *core.Instance) error {
 		for _, input := range workload {
 			res := inst.Exec(input, 100_000_000)
 			if !res.Done {
@@ -236,31 +248,54 @@ func measure(fw *firmware.Firmware, workload [][]byte, sans []string, repeats in
 		return nil
 	}
 	// Warm the translation caches once before timing.
-	if err := replay(); err != nil {
-		return 0, err
+	for i, inst := range insts {
+		if err := replay(inst); err != nil {
+			return nil, fmt.Errorf("%s: %w", cfgs[i].label, err)
+		}
 	}
-	// Time adaptively: repeat the workload until each sample is long
-	// enough to dominate timer noise, then take the best of n.
+	// A round replays the workload on every configuration in turn, the
+	// order reversing from one pass to the next, until each configuration
+	// has run for about minSample; the configuration's round time is its
+	// median pass. Interleaving single passes puts host drift on every
+	// configuration alike, and the median drops passes a preemption hit.
 	const minSample = 25 * time.Millisecond
-	best := time.Duration(0)
-	for r := 0; r < repeats; r++ {
-		iters := 0
+	times := make([][]float64, len(cfgs))
+	passes := make([][]float64, len(cfgs))
+	for r := 0; r < rounds; r++ {
+		for i := range passes {
+			passes[i] = passes[i][:0]
+		}
 		start := time.Now()
-		for {
-			if err := replay(); err != nil {
-				return 0, err
-			}
-			iters++
-			if time.Since(start) >= minSample {
-				break
+		for n := 0; n == 0 || time.Since(start) < minSample*time.Duration(len(cfgs)); n++ {
+			for k := range cfgs {
+				i := k
+				if n%2 == 1 {
+					i = len(cfgs) - 1 - k
+				}
+				t0 := time.Now()
+				if err := replay(insts[i]); err != nil {
+					return nil, fmt.Errorf("%s: %w", cfgs[i].label, err)
+				}
+				passes[i] = append(passes[i], float64(time.Since(t0)))
 			}
 		}
-		per := time.Since(start) / time.Duration(iters)
-		if best == 0 || per < best {
-			best = per
+		for i := range cfgs {
+			times[i] = append(times[i], median(passes[i]))
 		}
 	}
-	return best, nil
+	return times, nil
+}
+
+// median returns the middle value of xs (the mean of the two middle values
+// for an even count), leaving xs unchanged.
+func median(xs []float64) float64 {
+	xs = append([]float64(nil), xs...)
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // FormatFigure2 renders the overhead series with the paper's groupings.
