@@ -43,7 +43,7 @@ elide-audit:
 # validates its own Chrome trace_event output and two runs must be
 # byte-identical), prove the off path allocates nothing, and run the paired
 # traced/untraced campaign comparison (identical outcomes, phase columns
-# only when asked for).
+# only when asked for) and the -metrics stats table at workers 1 and 4.
 obs-check:
 	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; set -e; \
 	mkdir -p "$$dir/a" "$$dir/b"; \
@@ -55,7 +55,7 @@ obs-check:
 	echo "obs-check: trace output is byte-reproducible"
 	$(GO) test ./internal/obs -run 'TestEmitZeroAlloc|TestChromeTraceExport' -count 1
 	$(GO) test ./internal/obs/timeline -run TestAdvanceZeroAlloc -count 1
-	$(GO) test ./internal/exps -run 'TestTraceOffIsNoop|TestTimelineOffIsNoop' -count 1
+	$(GO) test ./internal/exps -run 'TestTraceOffIsNoop|TestTimelineOffIsNoop|TestCampaignStatsMetricsAcrossWorkers' -count 1
 
 # Monitor gate: the headless HTTP-client test drives every `embsan monitor`
 # endpoint (SSE stream, OpenMetrics scrape, artifact downloads) and asserts

@@ -565,15 +565,6 @@ func (m *Machine) flushTBs() {
 	m.chainGen++
 }
 
-// FlushTBs invalidates every cached translation block and severs all exit
-// chains, returning the machine to a cold-translation state. Guest-visible
-// behaviour is unchanged — only the translate/chain accounting moves.
-// Campaign drivers that sample engine counters into determinism-bearing
-// artifacts (the progress timeline) call it at campaign start so a pooled
-// machine's translation and chaining counters evolve identically however
-// many campaigns warmed it before.
-func (m *Machine) FlushTBs() { m.flushTBs() }
-
 // Hart returns hart i.
 func (m *Machine) Hart(i int) *Hart { return &m.harts[i] }
 

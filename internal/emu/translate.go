@@ -13,7 +13,7 @@ import (
 // translation templates. Code with no registered probes carries no probe
 // flags and pays nothing at execution time.
 //
-// Three fast paths keep the dispatch loop off the hot path (docs/TRANSLATE.md):
+// Two fast paths keep the dispatch loop off the hot path (docs/TRANSLATE.md):
 //
 //   - TB chaining: blocks record their static successor PCs at translation
 //     time, and runHart patches executed exits with direct links to the
@@ -30,10 +30,6 @@ import (
 //     translated template and skip the delegate call entirely when it cannot
 //     observably act. Dispatch accounting (counters, trace, profile) is
 //     identical on both paths, so fast-path runs stay byte-comparable.
-//   - Shared translation cache: machines running the same image content with
-//     the same translation-relevant configuration publish and consume
-//     immutable step slices through a process-global cache (shared.go), so a
-//     worker pool translates each firmware once per process.
 
 const maxTBLen = 64
 

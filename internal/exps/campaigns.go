@@ -72,9 +72,6 @@ type CampaignOptions struct {
 	// TimelineInterval is the sample period in retired instructions
 	// (default timeline.DefaultInterval).
 	TimelineInterval uint64
-	// TimelineSamples bounds each campaign's sample buffer (default
-	// timeline.DefaultMaxSamples); beyond it the sampler decimates.
-	TimelineSamples int
 	// StallSamples tunes the plateau detector: a stall mark fires after
 	// this many consecutive samples without a new cover block (default
 	// timeline.DefaultStallSamples).
@@ -107,26 +104,28 @@ type Campaign struct {
 	Raw      *fuzz.Result // full fuzzer output (for artifact persistence)
 
 	// Observability extras, populated only when CampaignOptions.Trace /
-	// .Metrics ask for them. Phases is a worker-local diagnostic — its
-	// translate and snapshot components depend on how warm the pooled
-	// machine's TB cache was — so none of these fields participate in
-	// campaign-result comparisons.
+	// .Metrics ask for them. Like the campaign results they are a pure
+	// function of the campaign index: Phases is built from the
+	// campaign-relative Engine counters below, so it is identical on every
+	// worker count.
 	Trace        []obs.Event
 	TraceDropped uint64
 	Phases       obs.Phases
 
-	// Engine is the machine-counter delta accumulated by this campaign:
-	// dispatch, chaining, inline and shared-cache accounting included. Like
-	// Phases it is a worker-local diagnostic (shared-cache hits depend on
-	// which worker translated first) and participates in no campaign-result
-	// comparison; RunCampaignSet reads it for the worker counters and phases.
+	// Engine is the machine-counter delta accumulated by this campaign,
+	// from its opening Restore+Reseed to its end. The guest-driven counts
+	// (SANCK traps, Mem probes, elisions, inline checks, restores and
+	// restored pages) are campaign-relative. The translation-cache counts
+	// (TB hits and misses, instructions decoded, chain hits, dispatches)
+	// are worker-local: they depend on how warm the pooled machine's cache
+	// was, so they feed only the worker table's tb-hits column and never a
+	// campaign-result comparison.
 	Engine emu.Counters
 
 	// Timeline extras, populated when CampaignOptions.Timeline asks for
-	// them. Unlike Phases these DO uphold the determinism contract: the
-	// samples are cut on the virtual clock from campaign-relative counter
-	// deltas, so a campaign's timeline is identical on every worker count
-	// and participates in the byte-identity oracles.
+	// them. The samples are cut on the virtual clock from campaign-relative
+	// counter deltas, so a campaign's timeline is identical on every worker
+	// count and participates in the byte-identity oracles.
 	Timeline         []timeline.Sample
 	TimelineMarks    []timeline.Mark
 	TimelineInterval uint64
@@ -280,18 +279,12 @@ type runExtras struct {
 // ran on the pooled machine before.
 func (w *warmed) run(fw *firmware.Firmware, seed int64, execs int, x runExtras) (*Campaign, error) {
 	inst := w.inst
-	before := inst.Machine.Counters()
 	inst.Restore()
 	inst.Machine.Reseed(uint64(seed))
-	if x.tl != nil {
-		// The timeline samples translate/chain counters into a
-		// determinism-bearing artifact, so the pooled machine's TB cache
-		// and exit chains must start cold: a second campaign on a warm
-		// machine would otherwise translate less and chain more than the
-		// same campaign run first, and the merged timeline would depend on
-		// worker count. Guest-visible outcomes are unchanged.
-		inst.Machine.FlushTBs()
-	}
+	// Counted from here, so the opening Restore — which copies back
+	// whatever the pooled machine's previous campaign dirtied — is not
+	// charged to this campaign.
+	before := inst.Machine.Counters()
 
 	fcfg := fuzz.Config{
 		Instance:          inst,
@@ -372,7 +365,7 @@ func RunCampaign(fw *firmware.Firmware, opts CampaignOptions) (*Campaign, error)
 	}
 	var x runExtras
 	if opts.Timeline {
-		x.tl = timeline.NewSampler(opts.TimelineInterval, opts.TimelineSamples)
+		x.tl = timeline.NewSampler(opts.TimelineInterval, 0)
 		x.tl.Reset(nil, timeline.DetectOptions{StallSamples: opts.StallSamples})
 	}
 	return w.run(fw, sched.Split(opts.Seed, 0), opts.Execs, x)
@@ -427,7 +420,7 @@ func RunCampaignSet(fws []*firmware.Firmware, opts CampaignOptions) (*CampaignRu
 		}
 		var x runExtras
 		if opts.Timeline {
-			x.tl = w.TimelineSampler(opts.TimelineInterval, opts.TimelineSamples)
+			x.tl = w.TimelineSampler(opts.TimelineInterval)
 			x.tl.Reset(ring, timeline.DetectOptions{StallSamples: opts.StallSamples})
 			if m := opts.Monitor; m != nil {
 				idx, name := i, fw.Name
@@ -456,10 +449,9 @@ func RunCampaignSet(fws []*firmware.Firmware, opts CampaignOptions) (*CampaignRu
 		}
 		if opts.Trace || opts.Metrics {
 			c.Phases = obs.Phases{
-				Translate: c.Engine.TransInsts,
-				Execute:   c.Stats.Insts,
-				Sanitize:  c.Engine.SanckTraps + c.Engine.MemProbes,
-				Snapshot:  c.Engine.RestorePages,
+				Execute:  c.Stats.Insts,
+				Sanitize: c.Engine.SanckTraps + c.Engine.MemProbes,
+				Snapshot: c.Engine.RestorePages,
 			}
 		}
 		for _, crash := range c.Raw.Crashes {
@@ -623,7 +615,7 @@ func FormatCampaignStats(cs []*Campaign, workers ...sched.WorkerStats) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-24s %8s %8s %8s %7s %7s %8s %7s", "Firmware", "execs", "corpus", "blocks", "cover", "prove", "found", "missed")
 	if phases {
-		fmt.Fprintf(&b, " %10s %12s %10s %9s", "translate", "execute", "sanitize", "snapshot")
+		fmt.Fprintf(&b, " %12s %10s %9s", "execute", "sanitize", "snapshot")
 	}
 	if stalls {
 		fmt.Fprintf(&b, " %12s", "stall@")
@@ -641,8 +633,7 @@ func FormatCampaignStats(cs []*Campaign, workers ...sched.WorkerStats) string {
 		fmt.Fprintf(&b, "%-24s %8d %8d %8d %7s %7s %8d %7d", c.Firmware.Name,
 			c.Stats.Execs, c.Stats.CorpusSize, c.Stats.CoverBlocks, cover, prove, len(c.Found), len(c.Missed))
 		if phases {
-			fmt.Fprintf(&b, " %10d %12d %10d %9d",
-				c.Phases.Translate, c.Phases.Execute, c.Phases.Sanitize, c.Phases.Snapshot)
+			fmt.Fprintf(&b, " %12d %10d %9d", c.Phases.Execute, c.Phases.Sanitize, c.Phases.Snapshot)
 		}
 		if stalls {
 			cell := "-"

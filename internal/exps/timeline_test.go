@@ -23,9 +23,9 @@ func timelineTestOpts() CampaignOptions {
 // merged timeline — campaigns' samples and marks concatenated in index
 // order and EMTL-encoded — is byte-identical at workers=1, workers=4 and
 // workers=GOMAXPROCS for every registry firmware, and the campaign
-// outcomes still fingerprint identically. This is the oracle behind the
-// FlushTBs cold-start rule in warmed.run: without it, pooled-machine TB warmth
-// would leak schedule-dependent translate/chain counts into the samples.
+// outcomes still fingerprint identically. Armed campaigns keep the pooled
+// machine's warm translation cache, so this is also the oracle that no
+// sampled field reads translation-cache state.
 func TestTimelineDeterministicAcrossWorkers(t *testing.T) {
 	opts := timelineTestOpts()
 	opts.Execs = 120
@@ -120,7 +120,7 @@ func TestTimelineOffIsNoop(t *testing.T) {
 		last.CorpusSize != uint64(c.Stats.CorpusSize) {
 		t.Errorf("terminal sample %+v disagrees with campaign stats %+v", last, c.Stats)
 	}
-	if last.Execute == 0 || last.Dispatches == 0 {
+	if last.VClock != c.Stats.Insts || last.Sanitize == 0 {
 		t.Errorf("terminal sample missing engine accounting: %+v", last)
 	}
 }

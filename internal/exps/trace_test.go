@@ -123,7 +123,7 @@ func TestTraceOffIsNoop(t *testing.T) {
 	// The stat table gains phase columns only when phases were recorded.
 	offStats := FormatCampaignStats(off.Campaigns, off.Workers...)
 	onStats := FormatCampaignStats(on.Campaigns, on.Workers...)
-	for _, col := range []string{"translate", "sanitize", "snapshot"} {
+	for _, col := range []string{"execute", "sanitize", "snapshot"} {
 		if strings.Contains(offStats, col) {
 			t.Errorf("metrics-off stats leak the %q column:\n%s", col, offStats)
 		}
@@ -143,5 +143,31 @@ func TestTraceOffIsNoop(t *testing.T) {
 				t.Errorf("report %s has no virtual timestamp", cr.Signature)
 			}
 		}
+	}
+}
+
+// TestCampaignStatsMetricsAcrossWorkers: with the phase breakdown on, the
+// campaign stats table is identical at workers=1 and workers=4 once its
+// wall-clock throughput is masked. Two repeats per firmware make the second
+// campaign of each firmware run on a pooled machine an earlier job already
+// warmed and dirtied at workers=1, and on a fresh one at workers=4, so a
+// phase column that reads pooled-machine history shows up as a diff.
+func TestCampaignStatsMetricsAcrossWorkers(t *testing.T) {
+	fws := buildSubset(t, "InfiniTime", "OpenWRT-bcm63xx")
+	opts := CampaignOptions{Execs: 200, Seed: 3, Repeats: 2, Metrics: true}
+
+	counts := []int{1, 4}
+	tables := make([]string, 0, len(counts))
+	for _, workers := range counts {
+		opts.Workers = workers
+		run, err := RunCampaignSet(fws, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		tables = append(tables, MaskWallClock(FormatCampaignStats(run.Campaigns)))
+	}
+	if tables[1] != tables[0] {
+		t.Errorf("stats table diverged between workers=%d and workers=%d:\n%s\n%s",
+			counts[0], counts[1], tables[0], tables[1])
 	}
 }

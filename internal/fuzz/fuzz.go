@@ -230,7 +230,8 @@ func (f *Fuzzer) Run() *Result {
 
 	// Timeline sampling: the metric vector is filled from campaign state
 	// only — counters are deltas against the machine's state at Run start,
-	// so a pooled machine's history from earlier campaigns never leaks in.
+	// so a pooled machine's history from earlier campaigns never leaks in,
+	// and none of them moves with the warmth of its translation cache.
 	tl := f.cfg.Timeline
 	var sampleFill func(*timeline.Sample)
 	if tl != nil {
@@ -245,12 +246,8 @@ func (f *Fuzzer) Run() *Result {
 			s.CorpusSize = uint64(len(f.corpus))
 			s.Found = uint64(len(res.Crashes))
 			d := inst.Machine.Counters().Sub(baseCtr)
-			s.Translate = d.TransInsts
-			s.Execute = res.Stats.Insts
 			s.Sanitize = d.SanckTraps + d.MemProbes
 			s.Snapshot = d.RestorePages
-			s.ChainHits = d.ChainHits
-			s.Dispatches = d.Dispatches
 			s.ChecksElided = d.SanckElided + d.MemElided
 			s.ChecksRun = d.SanckTraps + d.MemProbes
 			if inst.Runtime != nil && inst.Runtime.KCSANEngine() != nil {

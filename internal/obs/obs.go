@@ -223,18 +223,16 @@ type JobTrace struct {
 }
 
 // Phases is a virtual-time cost breakdown of one campaign, in deterministic
-// work units per phase: guest instruction words decoded (translate), guest
-// instructions retired (execute), sanitizer dispatches — SANCK traps plus
-// Mem-probe invocations — (sanitize), and snapshot pages copied back
-// (restore).
+// work units per phase: guest instructions retired (execute), sanitizer
+// dispatches — SANCK traps plus Mem-probe invocations — (sanitize), and
+// snapshot pages copied back (snapshot).
 type Phases struct {
-	Translate uint64
-	Execute   uint64
-	Sanitize  uint64
-	Snapshot  uint64
+	Execute  uint64
+	Sanitize uint64
+	Snapshot uint64
 }
 
 // Any reports whether any phase recorded work.
 func (p Phases) Any() bool {
-	return p.Translate != 0 || p.Execute != 0 || p.Sanitize != 0 || p.Snapshot != 0
+	return p.Execute != 0 || p.Sanitize != 0 || p.Snapshot != 0
 }

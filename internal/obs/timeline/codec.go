@@ -15,11 +15,11 @@ import (
 //	header: "EMTL" | u16 version | u16 reserved=0 | u32 jobCount
 //	job:    u32 id | u64 interval | u32 nSamples | u32 nMarks
 //	        nSamples × sample | nMarks × mark
-//	sample: 15 × u64 (the Sample vector, field order as declared)
+//	sample: 11 × u64 (the Sample vector, field order as declared)
 //	mark:   u8 kind | u64 vclock | u64 value
 const (
 	timelineMagic   = "EMTL"
-	timelineVersion = 1
+	timelineVersion = 2
 	tlHeaderSize    = 12
 	tlJobHeaderSize = 20
 	tlSampleSize    = sampleWords * 8
@@ -63,8 +63,7 @@ func Encode(jobs []JobTimeline) []byte {
 func (s *Sample) words() [sampleWords]uint64 {
 	return [sampleWords]uint64{
 		s.VClock, s.Execs, s.CoverBlocks, s.CorpusSize, s.Found,
-		s.Translate, s.Execute, s.Sanitize, s.Snapshot,
-		s.ChainHits, s.Dispatches, s.ChecksElided, s.ChecksRun,
+		s.Sanitize, s.Snapshot, s.ChecksElided, s.ChecksRun,
 		s.KCSANEvals, s.KCSANArmed,
 	}
 }
@@ -72,9 +71,8 @@ func (s *Sample) words() [sampleWords]uint64 {
 func sampleFromWords(w [sampleWords]uint64) Sample {
 	return Sample{
 		VClock: w[0], Execs: w[1], CoverBlocks: w[2], CorpusSize: w[3], Found: w[4],
-		Translate: w[5], Execute: w[6], Sanitize: w[7], Snapshot: w[8],
-		ChainHits: w[9], Dispatches: w[10], ChecksElided: w[11], ChecksRun: w[12],
-		KCSANEvals: w[13], KCSANArmed: w[14],
+		Sanitize: w[5], Snapshot: w[6], ChecksElided: w[7], ChecksRun: w[8],
+		KCSANEvals: w[9], KCSANArmed: w[10],
 	}
 }
 

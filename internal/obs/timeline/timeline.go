@@ -2,8 +2,10 @@
 // a fixed metric vector sampled every K retired guest instructions on the
 // campaign's cumulative virtual clock. Where internal/obs answers "what
 // happened at instruction N", timeline answers "how did the campaign
-// evolve" — coverage growth, corpus size, dispatch mix, fast-path and
-// elision rates over virtual time.
+// evolve" — coverage growth, corpus size, sanitizer work, elision and
+// KCSAN arming rates over virtual time. Engine telemetry (translation,
+// chaining, dispatch) is not campaign progress and stays out: it depends
+// on how warm the pooled machine's translation cache is.
 //
 // The design constraints are the obs package's, inherited verbatim:
 //
@@ -31,7 +33,7 @@ import "embsan/internal/obs"
 // fields are cumulative campaign-relative counts (raw counters, never
 // rates — rates are derived at export time so merged or decimated
 // timelines stay exact). The vector is fixed-width on purpose: the EMTL
-// codec serialises it as 15 little-endian u64 words.
+// codec serialises it as 11 little-endian u64 words.
 type Sample struct {
 	// VClock is the sample timestamp: cumulative retired guest
 	// instructions since the campaign started.
@@ -43,19 +45,10 @@ type Sample struct {
 	CorpusSize  uint64 // coverage-expanding inputs retained
 	Found       uint64 // deduplicated crash findings
 
-	// Dispatch mix per pipeline phase, in the obs.Phases work units:
-	// instruction words decoded, instructions retired, sanitizer
-	// dispatches, snapshot pages copied back.
-	Translate uint64
-	Execute   uint64
-	Sanitize  uint64
-	Snapshot  uint64
-
-	// Fast-path accounting: block transfers resolved by a patched exit
-	// chain vs dispatcher entries (chain-hit% = ChainHits/(ChainHits+
-	// Dispatches)).
-	ChainHits  uint64
-	Dispatches uint64
+	// Per-phase work in the obs.Phases units: sanitizer dispatches and
+	// snapshot pages copied back. (Instructions retired is VClock.)
+	Sanitize uint64
+	Snapshot uint64
 
 	// Elision accounting: sanitizer checks skipped by static safety
 	// proofs vs checks dispatched (elision% = Elided/(Elided+Checks)).
@@ -70,17 +63,7 @@ type Sample struct {
 
 // sampleWords is the number of u64 words in the fixed vector (codec.go
 // depends on it; extending Sample means bumping the EMTL version).
-const sampleWords = 15
-
-// ChainHitRate returns the fraction of block transfers resolved by an
-// exit chain; ok is false when no transfers were recorded.
-func (s Sample) ChainHitRate() (float64, bool) {
-	t := s.ChainHits + s.Dispatches
-	if t == 0 {
-		return 0, false
-	}
-	return float64(s.ChainHits) / float64(t), true
-}
+const sampleWords = 11
 
 // ElisionRate returns the fraction of sanitizer checks elided by static
 // proofs; ok is false when no checks were seen.
@@ -193,9 +176,6 @@ func (s *Sampler) Interval() uint64 { return s.interval }
 // BaseInterval returns the configured sample period before any
 // decimation doubling.
 func (s *Sampler) BaseInterval() uint64 { return s.baseInterval }
-
-// Cap returns the sample buffer capacity the sampler was built with.
-func (s *Sampler) Cap() int { return cap(s.samples) }
 
 // Advance is the per-execution emit site. When vclock has crossed the
 // next sample threshold it takes one sample, filling the vector through

@@ -20,9 +20,7 @@ func mkSamples(n, grow int, interval uint64) []Sample {
 		out[i] = Sample{
 			VClock: uint64(i+1) * interval, Execs: uint64(i+1) * 10,
 			CoverBlocks: uint64(c), CorpusSize: uint64(c), Found: uint64(i / 7),
-			Translate: uint64(i) * 3, Execute: uint64(i+1) * interval,
 			Sanitize: uint64(i) * 2, Snapshot: uint64(i),
-			ChainHits: uint64(i) * 5, Dispatches: uint64(i) + 1,
 			ChecksElided: uint64(i), ChecksRun: uint64(i) * 4,
 			KCSANEvals: uint64(i) * 9, KCSANArmed: uint64(i),
 		}
@@ -259,10 +257,7 @@ func TestLiveHooks(t *testing.T) {
 }
 
 func TestRates(t *testing.T) {
-	s := Sample{ChainHits: 3, Dispatches: 1, ChecksElided: 1, ChecksRun: 3, KCSANEvals: 8, KCSANArmed: 2}
-	if r, ok := s.ChainHitRate(); !ok || r != 0.75 {
-		t.Fatalf("ChainHitRate = %v, %v", r, ok)
-	}
+	s := Sample{ChecksElided: 1, ChecksRun: 3, KCSANEvals: 8, KCSANArmed: 2}
 	if r, ok := s.ElisionRate(); !ok || r != 0.25 {
 		t.Fatalf("ElisionRate = %v, %v", r, ok)
 	}
@@ -270,9 +265,6 @@ func TestRates(t *testing.T) {
 		t.Fatalf("ArmingRate = %v, %v", r, ok)
 	}
 	var zero Sample
-	if _, ok := zero.ChainHitRate(); ok {
-		t.Fatal("zero ChainHitRate ok")
-	}
 	if _, ok := zero.ElisionRate(); ok {
 		t.Fatal("zero ElisionRate ok")
 	}

@@ -136,24 +136,17 @@ func (w *Worker) TraceRing(capacity int) *obs.Ring {
 }
 
 // TimelineSampler returns the worker's timeline sampler, lazily allocated
-// with the given interval and sample capacity. Like TraceRing it is
+// with the given interval (0 means timeline.DefaultInterval) and
+// timeline.DefaultMaxSamples of capacity. Like TraceRing it is
 // worker-private and reused across jobs: the job Resets it at start and
 // copies samples out at end, so the preallocated buffers never leak
 // between jobs and a steady-state campaign set allocates nothing per job.
-func (w *Worker) TimelineSampler(interval uint64, maxSamples int) *timeline.Sampler {
-	// Normalise like NewSampler does, so passing zeros on every job reuses
-	// one default-shaped sampler instead of reallocating each time.
+func (w *Worker) TimelineSampler(interval uint64) *timeline.Sampler {
 	if interval == 0 {
 		interval = timeline.DefaultInterval
 	}
-	if maxSamples <= 0 {
-		maxSamples = timeline.DefaultMaxSamples
-	}
-	if maxSamples < 2 {
-		maxSamples = 2
-	}
-	if w.sampler == nil || w.sampler.BaseInterval() != interval || w.sampler.Cap() != maxSamples {
-		w.sampler = timeline.NewSampler(interval, maxSamples)
+	if w.sampler == nil || w.sampler.BaseInterval() != interval {
+		w.sampler = timeline.NewSampler(interval, 0)
 	}
 	return w.sampler
 }
