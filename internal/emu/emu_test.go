@@ -479,10 +479,142 @@ func TestCoverageHook(t *testing.T) {
 	exitWith(b)
 	m := newMachine(t, mustLink(t, b, "cov"))
 	pcs := map[uint32]int{}
-	m.CoverageHook = func(pc uint32) { pcs[pc]++ }
+	m.SetCoverageHook(func(pc uint32) { pcs[pc]++ })
 	m.Run(0)
 	if len(pcs) < 2 {
 		t.Errorf("coverage saw %d blocks", len(pcs))
+	}
+}
+
+// coverLoopImage builds the coverage-contract workload: a ready point (the
+// snapshot), then a 1000-iteration loop that calls a leaf, so the block
+// graph has a chained back edge, a call and a jump-cache return.
+func coverLoopImage(t *testing.T) *kasm.Image {
+	t.Helper()
+	b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E})
+	b.Func("_start")
+	b.Ready()
+	b.Li(rT0, 1000)
+	b.Li(rA0, 0)
+	b.Label("loop")
+	b.Call("leaf")
+	b.ADDI(rT0, rT0, -1)
+	b.BNEZ(rT0, "loop")
+	exitWith(b)
+	b.Func("leaf")
+	b.ADDI(rA0, rA0, 1)
+	b.Ret()
+	return mustLink(t, b, "coverloop")
+}
+
+// samePCs reports whether two hook tallies covered the same PC set.
+func samePCs(a, b map[uint32]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for pc := range a {
+		if _, ok := b[pc]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCoverageFirstHitPerArming pins the SetCoverageHook contract: one
+// arming reports each block-entry PC once however often the block runs,
+// an already-stamped block stays silent, and re-arming or retranslating
+// (a text write) reports every affected block again.
+func TestCoverageFirstHitPerArming(t *testing.T) {
+	img := coverLoopImage(t)
+	m := newMachine(t, img)
+	m.ReadyHook = func(m *Machine) { m.Snapshot() }
+	var pcs map[uint32]int
+	hook := func(pc uint32) { pcs[pc]++ }
+	run := func(what string) map[uint32]int {
+		t.Helper()
+		pcs = map[uint32]int{}
+		m.Restore()
+		if r := m.Run(0); r != StopExit || m.ExitCode() != 1000 {
+			t.Fatalf("%s: stop=%v exit=%d", what, r, m.ExitCode())
+		}
+		return pcs
+	}
+	run("boot") // to the snapshot, warming the cache unarmed
+
+	m.SetCoverageHook(hook)
+	first := run("armed")
+	if len(first) < 3 {
+		t.Fatalf("armed run covered %d blocks, want the loop, leaf and exit", len(first))
+	}
+	for pc, n := range first {
+		if n != 1 {
+			t.Errorf("block %#x reported %d times in one arming over 1000 iterations", pc, n)
+		}
+	}
+	if again := run("stamped"); len(again) != 0 {
+		t.Errorf("stamped blocks re-reported without re-arming: %v", again)
+	}
+
+	m.SetCoverageHook(hook)
+	if rearmed := run("re-armed"); !samePCs(rearmed, first) {
+		t.Errorf("re-arming reported %v, want every block of %v", rearmed, first)
+	}
+
+	leaf, _ := img.Lookup("leaf")
+	text, err := m.ReadBytes(leaf.Addr, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WriteBytes(leaf.Addr, text); err != nil { // same bytes, still a text write
+		t.Fatal(err)
+	}
+	if rewritten := run("retranslated"); !samePCs(rewritten, first) {
+		t.Errorf("text write re-reported %v, want every block on the page %v", rewritten, first)
+	}
+}
+
+// TestCoverageNoTBCacheRefires: with the cache off every entry is a fresh
+// translation, so the hook fires on every entry — the contract's "again
+// whenever that block is retranslated" at its limit.
+func TestCoverageNoTBCacheRefires(t *testing.T) {
+	img := coverLoopImage(t)
+	m, err := New(img, Config{NoTBCache: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcs := map[uint32]int{}
+	m.SetCoverageHook(func(pc uint32) { pcs[pc]++ })
+	if r := m.Run(0); r != StopExit {
+		t.Fatalf("stop = %v", r)
+	}
+	leaf, _ := img.Lookup("leaf")
+	if pcs[leaf.Addr] != 1000 {
+		t.Errorf("leaf reported %d times uncached, want one per call (1000)", pcs[leaf.Addr])
+	}
+}
+
+// TestCoverageSetAcrossEngines: chaining and caching change how often the
+// hook fires, never which PCs it reports. Interleaving jitter slices blocks
+// mid-stream, so quantum-restart entry PCs are in the set too.
+func TestCoverageSetAcrossEngines(t *testing.T) {
+	img := coverLoopImage(t)
+	var sets []map[uint32]int
+	for _, cfg := range []Config{{Seed: 5}, {Seed: 5, NoChain: true}, {Seed: 5, NoTBCache: true}} {
+		m, err := New(img, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pcs := map[uint32]int{}
+		m.SetCoverageHook(func(pc uint32) { pcs[pc]++ })
+		if r := m.Run(0); r != StopExit {
+			t.Fatalf("%+v: stop = %v", cfg, r)
+		}
+		sets = append(sets, pcs)
+	}
+	for i, name := range []string{"NoChain", "NoTBCache"} {
+		if !samePCs(sets[0], sets[i+1]) {
+			t.Errorf("%s covered %d PCs, default engine %d: sets differ", name, len(sets[i+1]), len(sets[0]))
+		}
 	}
 }
 

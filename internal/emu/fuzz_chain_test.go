@@ -43,8 +43,8 @@ func encodeProgram(f *testing.F, build func(b *kasm.Builder)) []byte {
 
 // FuzzChainedExecution runs arbitrary short programs on the chained and the
 // unchained engine in lockstep and requires identical outcomes: stop reason,
-// fault, retired-instruction count, every register of every hart, and the
-// final RAM contents. Random words decode into branch sprays, self-loops,
+// fault, retired-instruction count, every register of every hart, the
+// final RAM contents and the set of PCs the coverage hook reported. Random words decode into branch sprays, self-loops,
 // overlapping blocks and mid-block jump targets — exactly the block-graph
 // shapes where a bad successor computation or a stale chain link would
 // diverge first.
@@ -91,7 +91,7 @@ func FuzzChainedExecution(f *testing.F) {
 			t.Skip()
 		}
 		const budget = 4096
-		run := func(noChain bool) *Machine {
+		run := func(noChain bool) (*Machine, map[uint32]int) {
 			m, err := New(img, Config{
 				RAMSize: 1 << 20, MaxHarts: 2, Seed: uint64(seed),
 				NoChain: noChain,
@@ -99,11 +99,13 @@ func FuzzChainedExecution(f *testing.F) {
 			if err != nil {
 				t.Skip() // image rejected (e.g. doesn't fit): nothing to compare
 			}
+			pcs := map[uint32]int{}
+			m.SetCoverageHook(func(pc uint32) { pcs[pc]++ })
 			m.Run(budget)
-			return m
+			return m, pcs
 		}
-		chained := run(false)
-		plain := run(true)
+		chained, chainedCov := run(false)
+		plain, plainCov := run(true)
 
 		if chained.StopReason() != plain.StopReason() {
 			t.Fatalf("stop diverged: chained %v, plain %v", chained.StopReason(), plain.StopReason())
@@ -135,6 +137,9 @@ func FuzzChainedExecution(f *testing.F) {
 		}
 		if !bytes.Equal(cram, pram) {
 			t.Fatal("final RAM diverged between chained and unchained execution")
+		}
+		if !samePCs(chainedCov, plainCov) {
+			t.Fatalf("covered PCs diverged: chained %d, plain %d", len(chainedCov), len(plainCov))
 		}
 		if plain.Counters().ChainHits != 0 {
 			t.Fatalf("NoChain engine followed %d exit links", plain.Counters().ChainHits)

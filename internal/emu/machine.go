@@ -169,9 +169,11 @@ type Machine struct {
 	ReadyReached bool
 	ReadyHook    func(m *Machine)
 
-	// CoverageHook fires on every translation-block entry — the OS-agnostic
-	// coverage mechanism the Tardis frontend relies on.
-	CoverageHook func(pc uint32)
+	// covHook is the coverage callback installed by SetCoverageHook; covGen
+	// is its arming generation. A block whose covGen stamp differs has not
+	// reported its entry PC under the current arming (see runHart).
+	covHook func(pc uint32)
+	covGen  uint32
 
 	// CmpHook fires on every failed equality branch (BEQ/BNE with unequal
 	// operands), exposing both operand values — the comparison feedback
@@ -529,6 +531,20 @@ func (m *Machine) ClearStop() {
 func (m *Machine) SetProbes(p ProbeSet) {
 	m.probes = p
 	m.flushTBs()
+}
+
+// SetCoverageHook installs (or, with nil, removes) the coverage callback —
+// the OS-agnostic translation-block coverage the fuzzing frontends rely on.
+// Coverage is a per-block first-hit stamp, not a per-entry event: fn fires
+// at least once for every block-entry PC executed after the call, and again
+// whenever that block is retranslated (a flush, a text write, or every entry
+// under Config.NoTBCache); a block already stamped costs only a compare.
+// Each call re-arms every cached block, so a pooled machine handed from
+// campaign to campaign reports each campaign's coverage in full. Callers
+// that need each PC once must dedupe.
+func (m *Machine) SetCoverageHook(fn func(pc uint32)) {
+	m.covHook = fn
+	m.covGen++
 }
 
 // HookPC arranges for fn to run whenever any hart reaches pc.

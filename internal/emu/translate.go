@@ -55,6 +55,9 @@ type tb struct {
 	steps []step
 	gen   uint32 // globalGen at translation time
 	pgen  uint32 // pageGen of the block's page at translation time
+	// covGen is the coverage arming the block last reported its entry
+	// under (Machine.SetCoverageHook); 0 for a fresh translation.
+	covGen uint32
 
 	// Static successor PCs, 0 = none. A conditional branch has both; a JAL
 	// or a block that simply runs off its end has one; indirect or
@@ -306,9 +309,11 @@ func (m *Machine) runHart(h *Hart, quantum, target uint64) {
 	}
 	// t carries the block resolved by the previous iteration's chain link;
 	// nil sends the transfer through the dispatcher. Per-block work other
-	// than the lookup — coverage, trace events, profiling — runs identically
-	// on both paths, which is what keeps traces byte-identical with chaining
-	// on or off.
+	// than the lookup — the coverage stamp, trace events, profiling — runs
+	// identically on both paths, which is what keeps traces byte-identical
+	// and covered-PC sets equal with chaining on or off. A block already
+	// stamped for the current coverage arming costs one compare: the hook
+	// fires only on its first entry after SetCoverageHook or a retranslation.
 	var t *tb
 	for m.stop == StopNone && m.icnt < end {
 		if t == nil {
@@ -319,8 +324,9 @@ func (m *Machine) runHart(h *Hart, quantum, target uint64) {
 				return
 			}
 		}
-		if m.CoverageHook != nil {
-			m.CoverageHook(h.PC)
+		if m.covHook != nil && t.covGen != m.covGen {
+			t.covGen = m.covGen
+			m.covHook(h.PC)
 		}
 		enterPC := h.PC
 		start := m.icnt

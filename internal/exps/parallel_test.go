@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"embsan/internal/guest/firmware"
+	"embsan/internal/sched"
 )
 
 // campaignFingerprint canonically serialises everything a campaign
@@ -70,6 +71,43 @@ func TestCampaignDeterminismAcrossWorkers(t *testing.T) {
 		if prints[i] != prints[0] {
 			t.Errorf("workers=%d diverged from workers=%d:\n--- workers=%d ---\n%s\n--- workers=%d ---\n%s",
 				counts[i], counts[0], counts[0], prints[0], counts[i], prints[i])
+		}
+	}
+}
+
+// TestPooledMachineRearmsCoverage: back-to-back campaigns on one warmed
+// deployment report the same coverage as on fresh deployments. Coverage is
+// a per-block first-hit stamp, so the second campaign sees blocks the first
+// one already stamped only because installing its hook re-arms them; a
+// missing re-arm would under-report its coverage and starve its corpus.
+func TestPooledMachineRearmsCoverage(t *testing.T) {
+	opts := CampaignOptions{Execs: 500, Seed: 3}
+	for _, fw := range buildSubset(t, "InfiniTime", "OpenWRT-bcm63xx") {
+		pooled, err := warmUp(fw, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			seed := sched.Split(opts.Seed, i)
+			got, err := pooled.run(fw, seed, opts.Execs, runExtras{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := warmUp(fw, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := fresh.run(fw, seed, opts.Execs, runExtras{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, w := got.Stats, want.Stats
+			if g.CoverBlocks != w.CoverBlocks || g.CoverLeaders != w.CoverLeaders ||
+				g.CorpusSize != w.CorpusSize || g.Insts != w.Insts {
+				t.Errorf("%s campaign %d on the pooled machine: blocks=%d leaders=%d corpus=%d insts=%d; fresh: blocks=%d leaders=%d corpus=%d insts=%d",
+					fw.Name, i, g.CoverBlocks, g.CoverLeaders, g.CorpusSize, g.Insts,
+					w.CoverBlocks, w.CoverLeaders, w.CorpusSize, w.Insts)
+			}
 		}
 	}
 }

@@ -198,13 +198,15 @@ func New(cfg Config) (*Fuzzer, error) {
 
 // Run executes the campaign. The coverage hook is installed only for the
 // duration of the run, so a pooled machine handed from campaign to
-// campaign never feeds coverage into a stale fuzzer.
+// campaign never feeds coverage into a stale fuzzer; installing it re-arms
+// every block the machine has cached, so each campaign sees its coverage
+// in full. The hook fires on a block's first entry per arming (and again
+// after a retranslation), so f.cover only dedupes those rare repeats.
 func (f *Fuzzer) Run() *Result {
 	res := &Result{}
 	inst := f.cfg.Instance
 
-	prevHook := inst.Machine.CoverageHook
-	inst.Machine.CoverageHook = func(pc uint32) {
+	inst.Machine.SetCoverageHook(func(pc uint32) {
 		if _, ok := f.cover[pc]; !ok {
 			f.cover[pc] = struct{}{}
 			f.newCov++
@@ -212,8 +214,8 @@ func (f *Fuzzer) Run() *Result {
 				f.covLeaders++
 			}
 		}
-	}
-	defer func() { inst.Machine.CoverageHook = prevHook }()
+	})
+	defer inst.Machine.SetCoverageHook(nil)
 
 	if f.cfg.Frontend == FrontendBytes {
 		// Redqueen-style comparison feedback: operands of failed equality

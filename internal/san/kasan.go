@@ -15,6 +15,16 @@ type KASAN struct {
 	heapLow    uint32
 	heapHigh   uint32
 
+	// snap is the latest Snapshot and touched logs the base address of
+	// every chunk entry OnAlloc, OnFree or quarantine eviction changed
+	// since it was taken, so RestoreState undoes only those (the chunk
+	// table's analogue of the machine's dirty pages). spare recycles the
+	// Chunk structs that restores drop, keeping steady-state allocation
+	// events and restores off the heap.
+	snap    *KASANState
+	touched []uint32
+	spare   []*Chunk
+
 	// stacker, when installed (forensic arming), captures the current
 	// shadow call stack; allocations and frees stamp their chunk with it so
 	// a later report can show full alloc/free backtraces. Off by default:
@@ -55,7 +65,8 @@ func (k *KASAN) Shadow() *Shadow { return k.shadow }
 func (k *KASAN) SetStacker(f func() []uint32) { k.stacker = f }
 
 // ChunkAt returns the chunk whose base address is exactly ptr (live or
-// quarantined), or nil.
+// quarantined), or nil. The pointer is valid until the next RestoreState,
+// which may rewrite or recycle the struct: copy the value to retain it.
 func (k *KASAN) ChunkAt(ptr uint32) *Chunk { return k.chunks[ptr] }
 
 // NoteHeapRegion widens the engine's notion of where heap objects live, and
@@ -84,11 +95,45 @@ func (k *KASAN) OnAlloc(ptr, size, pc uint32) {
 	// Poison the tail up to the next granule boundary explicitly (handled by
 	// Unpoison's partial encoding) — nothing more to do for the slack: the
 	// rest of the heap is already poisoned as uninit/free.
-	c := &Chunk{Addr: ptr, Size: size, AllocPC: pc}
+	k.touch(ptr)
+	c := k.chunks[ptr]
+	if c == nil {
+		c = k.newChunk()
+		k.chunks[ptr] = c
+	}
+	*c = Chunk{Addr: ptr, Size: size, AllocPC: pc}
 	if k.stacker != nil {
 		c.AllocStack = k.stacker()
 	}
-	k.chunks[ptr] = c
+}
+
+// newChunk returns a Chunk struct for the caller to fill, recycled from a
+// restore when possible.
+func (k *KASAN) newChunk() *Chunk {
+	if n := len(k.spare); n > 0 {
+		c := k.spare[n-1]
+		k.spare = k.spare[:n-1]
+		return c
+	}
+	return new(Chunk)
+}
+
+// maxTouched bounds the dirty log: a run that changes more chunk entries
+// than this without a restore drops the log, and the next RestoreState
+// rebuilds the whole table instead.
+const maxTouched = 1 << 12
+
+// touch logs a chunk entry about to change while a snapshot is live.
+func (k *KASAN) touch(ptr uint32) {
+	if k.snap == nil {
+		return
+	}
+	if len(k.touched) == maxTouched {
+		k.snap = nil
+		k.touched = k.touched[:0]
+		return
+	}
+	k.touched = append(k.touched, ptr)
 }
 
 // OnFree records a deallocation of ptr. It returns a report when the free
@@ -110,6 +155,7 @@ func (k *KASAN) OnFree(ptr, pc uint32, hart int) *Report {
 			AllocStack: c.AllocStack, FreeStack: c.FreeStack,
 		}
 	}
+	k.touch(ptr)
 	c.Freed = true
 	c.FreePC = pc
 	if k.stacker != nil {
@@ -119,8 +165,12 @@ func (k *KASAN) OnFree(ptr, pc uint32, hart int) *Report {
 	k.quarantine = append(k.quarantine, ptr)
 	if len(k.quarantine) > k.quarCap {
 		evict := k.quarantine[0]
-		k.quarantine = k.quarantine[1:]
+		// Shift in place so the backing array, and with it the restore
+		// copy's capacity, stays put.
+		n := copy(k.quarantine, k.quarantine[1:])
+		k.quarantine = k.quarantine[:n]
 		if ec, ok := k.chunks[evict]; ok && ec.Freed {
+			k.touch(evict)
 			delete(k.chunks, evict)
 		}
 	}
@@ -218,7 +268,8 @@ func (k *KASAN) nearestChunk(addr uint32) *Chunk {
 	return nil
 }
 
-// Snapshot captures engine state.
+// Snapshot captures engine state and starts logging chunk changes against
+// it.
 func (k *KASAN) Snapshot() *KASANState {
 	st := &KASANState{
 		chunks:     make(map[uint32]Chunk, len(k.chunks)),
@@ -229,18 +280,51 @@ func (k *KASAN) Snapshot() *KASANState {
 	for a, c := range k.chunks {
 		st.chunks[a] = *c
 	}
+	k.snap = st
+	k.touched = k.touched[:0]
 	return st
 }
 
-// RestoreState rewinds engine state to a snapshot.
+// RestoreState rewinds engine state to a snapshot. Rewinding to the latest
+// Snapshot undoes only the logged chunk entries; any other state (or a
+// dropped log) rewinds every entry of the current table and the snapshot's.
+// Either way the table then equals st, and later changes are logged
+// against it.
 func (k *KASAN) RestoreState(st *KASANState) {
-	k.chunks = make(map[uint32]*Chunk, len(st.chunks))
-	for a, c := range st.chunks {
-		cc := c
-		k.chunks[a] = &cc
+	if st == k.snap {
+		for _, a := range k.touched {
+			k.restoreChunk(st, a)
+		}
+	} else {
+		for a := range k.chunks {
+			k.restoreChunk(st, a)
+		}
+		for a := range st.chunks {
+			k.restoreChunk(st, a)
+		}
+		k.snap = st
 	}
+	k.touched = k.touched[:0]
 	k.quarantine = append(k.quarantine[:0], st.quarantine...)
 	k.heapLow, k.heapHigh = st.heapLow, st.heapHigh
+}
+
+// restoreChunk rewinds the chunk entry at base address a to its value in
+// st, reusing the live Chunk struct when both exist.
+func (k *KASAN) restoreChunk(st *KASANState, a uint32) {
+	c, live := k.chunks[a]
+	sc, had := st.chunks[a]
+	switch {
+	case had && live:
+		*c = sc
+	case had:
+		c = k.newChunk()
+		*c = sc
+		k.chunks[a] = c
+	case live:
+		delete(k.chunks, a)
+		k.spare = append(k.spare, c)
+	}
 }
 
 // KASANState is an opaque engine snapshot.

@@ -647,9 +647,11 @@ func (rt *Runtime) Restore() {
 	}
 	rt.enabled = rt.enabledAtSnap
 	rt.reports = nil
-	rt.seen = make(map[string]bool)
-	for k := range rt.pending {
-		delete(rt.pending, k)
+	// Cleared in place, not remade: Restore runs once per execution and
+	// allocates nothing (TestRuntimeRestoreZeroAlloc).
+	clear(rt.seen)
+	for k, v := range rt.pending {
+		rt.pending[k] = v[:0]
 	}
 }
 

@@ -25,6 +25,9 @@ const (
 func buildScenario(t *testing.T, mode kasm.SanitizeMode, scenario string) *kasm.Image {
 	t.Helper()
 	b := kasm.NewBuilder(kasm.Target{Arch: isa.ArchARM32E, Sanitize: mode})
+	// The pad keeps every written global off the text page, so a restore
+	// rewinds data without retranslating code.
+	b.GlobalRaw("pad", 4096)
 	b.GlobalRaw("stack", 4096)
 	b.GlobalRaw("heap", 4096)
 	b.GlobalRaw("heap_next", 4)
@@ -108,6 +111,17 @@ func buildScenario(t *testing.T, mode kasm.SanitizeMode, scenario string) *kasm.
 		b.ADDI(rSP, rSP, 64)
 	case "invalid_free":
 		b.La(rA0, "gbuf") // not a heap pointer
+		b.Call("kfree")
+	case "churn":
+		// Clean heap traffic: two objects allocated and freed, so a
+		// restore has chunks to delete and none to report.
+		b.Li(rA0, 32)
+		b.Call("kmalloc")
+		b.SW(rA0, rSP, 0)
+		b.Li(rA0, 16)
+		b.Call("kmalloc")
+		b.Call("kfree")
+		b.LW(rA0, rSP, 0)
 		b.Call("kfree")
 	case "clean":
 		b.Li(rA0, 32)
@@ -338,6 +352,44 @@ func TestRuntimeSnapshotRestore(t *testing.T) {
 		if len(rt.Reports()) != 1 || rt.Reports()[0].Bug != BugUAF {
 			t.Fatalf("run %d: reports = %v", i, rt.Reports())
 		}
+	}
+}
+
+// TestRuntimeRestoreZeroAlloc: Restore runs once per campaign execution,
+// so after an execution that allocated and freed heap it must rewind the
+// chunk table, shadow, report state and allocator bookkeeping without a
+// single heap allocation. Each measured call replays that execution first,
+// so every Restore has real work to undo.
+func TestRuntimeRestoreZeroAlloc(t *testing.T) {
+	img := buildScenario(t, kasm.SanNone, "churn")
+	m, _ := emu.New(img, emu.Config{})
+	rt, err := Attach(m, Options{Spec: kasanSpec(t), Platform: platformFor(t, img)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.ReadyHook = chainReady(m.ReadyHook, func(mm *emu.Machine) {
+		mm.Snapshot()
+		rt.Snapshot()
+	})
+	exec := func() {
+		if r := m.Run(1_000_000); r != emu.StopExit {
+			t.Fatalf("stop = %v, fault = %v", r, m.Fault())
+		}
+	}
+	exec()
+	if len(rt.Reports()) != 0 {
+		t.Fatalf("clean heap traffic reported: %v", rt.Reports()[0].Title())
+	}
+	if n := len(rt.kasan.touched); n < 4 {
+		t.Fatalf("execution logged %d chunk changes, want two allocs and two frees", n)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		m.Restore()
+		rt.Restore()
+		exec()
+	})
+	if allocs != 0 {
+		t.Errorf("Restore+exec allocated %.1f times per execution, want 0", allocs)
 	}
 }
 

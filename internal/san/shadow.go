@@ -152,6 +152,18 @@ func (s *Shadow) SetTrace(r *obs.Ring, clock func() uint64) {
 	s.clock = clock
 }
 
+// rangeEnd returns the exclusive end of [addr, addr+size) computed in 64
+// bits and clamped to the top of the 32-bit address space, so a length
+// that would wrap past 2^32 covers the rest of the space instead of
+// wrapping to a tiny (or empty) range.
+func rangeEnd(addr, size uint32) uint64 {
+	end := uint64(addr) + uint64(size)
+	if end > 1<<32 {
+		end = 1 << 32
+	}
+	return end
+}
+
 // Poison marks [addr, addr+size) with the given poison code. Partial leading
 // granules keep their validity prefix; partial trailing granules are wholly
 // poisoned (conservative, like KASAN's kasan_poison).
@@ -162,9 +174,9 @@ func (s *Shadow) Poison(addr, size uint32, code byte) {
 	if s.trace != nil {
 		s.trace.Emit(obs.Event{ICnt: s.clock(), PC: uint32(code), Addr: addr, Arg: size, Kind: obs.EvPoison})
 	}
-	end := addr + size
+	end := rangeEnd(addr, size)
 	first := addr / Granularity
-	last := (end - 1) / Granularity
+	last := uint32((end - 1) / Granularity)
 	s.noteMut(first, last)
 	for g := first; g <= last && g < uint32(len(s.bytes)); g++ {
 		gStart := g * Granularity
@@ -201,14 +213,13 @@ func (s *Shadow) Unpoison(addr, size uint32) {
 	if s.trace != nil {
 		s.trace.Emit(obs.Event{ICnt: s.clock(), Addr: addr, Arg: size, Kind: obs.EvUnpoison})
 	}
-	end := addr + size
+	end := rangeEnd(addr, size)
 	first := addr / Granularity
-	last := (end - 1) / Granularity
+	last := uint32((end - 1) / Granularity)
 	s.noteMut(first, last)
 	for g := first; g <= last && g < uint32(len(s.bytes)); g++ {
-		gStart := g * Granularity
-		gEnd := gStart + Granularity
-		if gEnd <= end {
+		gStart := uint64(g) * Granularity
+		if gStart+Granularity <= end {
 			s.bytes[g] = 0
 			continue
 		}
@@ -232,20 +243,20 @@ func (s *Shadow) Check(addr, size uint32) (badAddr uint32, code byte, ok bool) {
 	if size == 0 {
 		return 0, 0, true
 	}
-	end := addr + size
-	for a := addr; a < end; {
-		g := a / Granularity
+	end := rangeEnd(addr, size)
+	for a := uint64(addr); a < end; {
+		g := uint32(a / Granularity)
 		if g >= uint32(len(s.bytes)) {
-			return a, 0, true // outside shadow coverage: not ours to judge
+			return uint32(a), 0, true // outside shadow coverage: not ours to judge
 		}
 		sb := s.bytes[g]
-		gStart := g * Granularity
+		gStart := uint64(g) * Granularity
 		switch {
 		case sb == 0:
 			a = gStart + Granularity
 		case sb < Granularity:
 			// First sb bytes of the granule are valid.
-			validEnd := gStart + uint32(sb)
+			validEnd := gStart + uint64(sb)
 			if a < validEnd {
 				if end <= validEnd {
 					return 0, 0, true
@@ -256,9 +267,9 @@ func (s *Shadow) Check(addr, size uint32) (badAddr uint32, code byte, ok bool) {
 			// Access touches the invalid tail: the poison kind is whatever
 			// the *next* region's code is, best described as a redzone hit;
 			// report the granule's implicit redzone.
-			return a, s.tailCode(g), false
+			return uint32(a), s.tailCode(g), false
 		default:
-			return a, sb, false
+			return uint32(a), sb, false
 		}
 	}
 	return 0, 0, true

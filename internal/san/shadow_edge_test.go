@@ -1,6 +1,10 @@
 package san
 
-import "testing"
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
 
 // Table-driven edge cases for the unified shadow: zero-size accesses,
 // accesses straddling a redzone boundary, the last addressable byte of RAM,
@@ -83,6 +87,15 @@ func TestShadowEdgeCases(t *testing.T) {
 			wantOK: false, wantBad: ram - 1,
 		},
 		{
+			// A hostile range-interceptor length: addr+size wraps past 2^32,
+			// which must not shrink the range to nothing.
+			name:   "length wrapping the address space still reports",
+			prep:   func(s *Shadow) { s.Poison(0x200, Granularity, CodeHeapFree) },
+			addr:   0x1F0,
+			size:   0xFFFFFFF0,
+			wantOK: false, wantBad: 0x200,
+		},
+		{
 			name:   "access beyond shadow coverage is not judged",
 			prep:   func(s *Shadow) {},
 			addr:   ram + 64,
@@ -150,5 +163,86 @@ func TestShadowSnapshotRoundTripPoisoned(t *testing.T) {
 	s.Poison(0x400, 64, CodeHeapFree)
 	if got := verdict(snap); got != want {
 		t.Errorf("snapshot mutated through the original: %v, want %v", got, want)
+	}
+}
+
+// firstBad is the byte-level reference for Check: the first byte of
+// [addr, addr+size), clamped to the top of the address space and to shadow
+// coverage, whose granule does not make it addressable.
+func firstBad(s *Shadow, addr, size uint32) (uint32, bool) {
+	end := uint64(addr) + uint64(size)
+	if end > 1<<32 {
+		end = 1 << 32
+	}
+	if cov := uint64(len(s.bytes)) * Granularity; end > cov {
+		end = cov
+	}
+	for a := uint64(addr); a < end; a++ {
+		sb := s.bytes[a/Granularity]
+		if sb != 0 && (sb >= Granularity || a%Granularity >= uint64(sb)) {
+			return uint32(a), false
+		}
+	}
+	return 0, true
+}
+
+// TestShadowTopOfAddressSpace is a property test of range arithmetic at the
+// top of the 32-bit space: ranges ending at or past 0xFFFFFFF8, exactly at
+// 2^32, or wrapping past it (a hostile length handed to a range
+// interceptor). Check must agree with the byte-level reference, and Poison
+// and Unpoison of such a range must equal the same call with the length
+// clamped to the end of coverage — none of them may wrap into a tiny range.
+func TestShadowTopOfAddressSpace(t *testing.T) {
+	const ram = 1 << 16
+	rng := rand.New(rand.NewSource(1))
+	tops := []uint64{0xFFFFFFF8, 0xFFFFFFFC, 0xFFFFFFFF, 1 << 32, 1<<32 + 1, 1<<32 + ram/2, 1<<33 - 2}
+	for i := 0; i < 4000; i++ {
+		s := NewShadow(ram)
+		for j := rng.Intn(4); j >= 0; j-- {
+			a := uint32(rng.Intn(ram))
+			n := uint32(1 + rng.Intn(256))
+			if rng.Intn(2) == 0 {
+				s.Poison(a, n, CodeHeapFree)
+			} else {
+				s.Unpoison(a, n)
+			}
+		}
+		// Start inside coverage (where verdicts matter) or anywhere up top.
+		addr := uint32(rng.Intn(ram))
+		if rng.Intn(4) == 0 {
+			addr = 0xFFFFFFF0 + uint32(rng.Intn(16))
+		}
+		end := tops[rng.Intn(len(tops))]
+		// A 32-bit size reaches at most addr+0xFFFFFFFF.
+		end = min(max(end, uint64(addr)), uint64(addr)+0xFFFFFFFF)
+		size := uint32(end - uint64(addr))
+		if rng.Intn(8) == 0 {
+			size = 0
+		}
+
+		wantBad, wantOK := firstBad(s, addr, size)
+		bad, _, ok := s.Check(addr, size)
+		if ok != wantOK || (!ok && bad != wantBad) {
+			t.Fatalf("Check(%#x, %#x) = (%#x, %v), want (%#x, %v)", addr, size, bad, ok, wantBad, wantOK)
+		}
+
+		clamped := uint32(0)
+		if size != 0 && addr < ram {
+			clamped = ram - addr
+		}
+		for _, op := range []struct {
+			name string
+			do   func(*Shadow, uint32)
+		}{
+			{"Poison", func(sh *Shadow, n uint32) { sh.Poison(addr, n, CodeGlobalRedzone) }},
+			{"Unpoison", func(sh *Shadow, n uint32) { sh.Unpoison(addr, n) }},
+		} {
+			got, want := s.Clone(), s.Clone()
+			op.do(got, size)
+			op.do(want, clamped)
+			if !bytes.Equal(got.bytes, want.bytes) {
+				t.Fatalf("%s(%#x, %#x) differs from the range clamped to coverage", op.name, addr, size)
+			}
+		}
 	}
 }
